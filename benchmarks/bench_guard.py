@@ -2,7 +2,7 @@
 
 Observability is off-by-default-cheap: a switch built with the default
 :data:`~repro.obs.NULL_OBS` must process packets at the same rate as
-before the observability plane existed.  This guard measures the fast
+before the observability plane existed.  This guard measures the codegen
 engine's packets/sec with a *null-registry* Observability handle
 explicitly attached and compares it against a baseline:
 
@@ -16,9 +16,9 @@ Exit code 0 if the attached run is within ``--tolerance`` (default 10%)
 of the baseline, 1 otherwise.
 
 A second mode, ``--codegen``, guards the engine ladder instead: the
-codegen engine must process at least as many packets/sec as the fast
-engine on the bench program (re-measured on this machine, so the
-comparison never crosses hardware).
+codegen engine's speedup over the reference interpreter on the bench
+program (both re-measured on this machine, so the ratio never crosses
+hardware) must stay at or above ``LADDER_FLOOR`` less ``--tolerance``.
 
 A third mode, ``--net``, guards the traffic plane: the network's batch
 hot loop must replay a fig12-style campus trace strictly faster than
@@ -46,6 +46,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Tuple
 
 from repro.experiments.bench import _build_switch, measure_pps
 from repro.net.packet import ip, make_udp
@@ -53,40 +54,60 @@ from repro.obs import NULL_OBS
 import time
 
 
-def measure_null_obs_pps(packets: int, repeats: int = 3) -> float:
-    """Fast-engine pps with a null Observability handle attached —
-    the instrumented construction path, the uninstrumented hot path."""
-    sw = _build_switch("fast", obs=NULL_OBS)
-    assert not sw.obs.live
+def measure_null_obs_pps(packets: int, repeats: int = 10
+                         ) -> Tuple[float, float]:
+    """Best-of-N codegen pps of a switch built with no handle (the
+    baseline) and of one with a null Observability handle attached —
+    the instrumented construction path, the uninstrumented hot path.
+
+    The two are timed in alternating rounds: at ~100K pps a round lasts
+    tens of milliseconds, short enough for machine-speed drift to
+    separate two back-to-back measurement phases by more than the
+    tolerance."""
+    plain = _build_switch("codegen")
+    guarded = _build_switch("codegen", obs=NULL_OBS)
+    assert not guarded.obs.live
     packet = make_udp(ip(1, 1, 1, 1), ip(2, 2, 2, 2), 1, 2)
-    for _ in range(packets // 10):
-        sw.process(packet, 1)
-    best = 0.0
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(packets):
+    switches = (plain, guarded)
+    for sw in switches:
+        for _ in range(packets // 10):
             sw.process(packet, 1)
-        elapsed = time.perf_counter() - start
-        if elapsed > 0:
-            best = max(best, packets / elapsed)
-    return best
+    best = [0.0, 0.0]
+    for _ in range(repeats):
+        for i, sw in enumerate(switches):
+            start = time.perf_counter()
+            for _ in range(packets):
+                sw.process(packet, 1)
+            elapsed = time.perf_counter() - start
+            if elapsed > 0:
+                best[i] = max(best[i], packets / elapsed)
+    return best[0], best[1]
+
+
+#: Minimum codegen/interp pps ratio on the bench program: the speedup
+#: the retired closure engine recorded over the interpreter in
+#: BENCH_throughput.json (3.38x).  Codegen once had to beat that engine
+#: on the same machine; holding its interp-relative speedup above that
+#: engine's is the same floor without keeping the engine.
+LADDER_FLOOR = 3.38
 
 
 def guard_codegen(packets: int, tolerance: float) -> int:
-    """The engine-ladder guard: codegen pps must not fall below fast
-    pps (both re-measured here, best-of-N, same program)."""
-    fast_pps = measure_pps("fast", packets=packets)
+    """The engine-ladder guard: codegen's speedup over interp must not
+    fall below ``LADDER_FLOOR`` (both re-measured here, best-of-N, same
+    program)."""
+    interp_pps = measure_pps("interp", packets=packets)
     codegen_pps = measure_pps("codegen", packets=packets)
-    ratio = codegen_pps / fast_pps
-    floor = 1.0 - tolerance
+    ratio = codegen_pps / interp_pps
+    floor = LADDER_FLOOR * (1.0 - tolerance)
     verdict = "OK" if ratio >= floor else "REGRESSION"
-    print(f"bench guard (codegen): fast {fast_pps:.0f} pps, "
-          f"codegen {codegen_pps:.0f} pps, ratio {ratio:.3f} "
-          f"(floor {floor:.2f}) -> {verdict}")
+    print(f"bench guard (codegen): interp {interp_pps:.0f} pps, "
+          f"codegen {codegen_pps:.0f} pps, speedup {ratio:.2f}x "
+          f"(floor {floor:.2f}x) -> {verdict}")
     if ratio < floor:
-        print("the codegen engine fell below the fast engine on the "
-              "bench program; see docs/INTERNALS.md (engines)",
-              file=sys.stderr)
+        print("the codegen engine's speedup over the interpreter fell "
+              "below the floor on the bench program; see "
+              "docs/INTERNALS.md (engines)", file=sys.stderr)
         return 1
     return 0
 
@@ -163,7 +184,9 @@ def guard_aether(sessions: int, attach_floor: float, pps_floor: float,
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--packets", type=int, default=5000)
+    # ~0.15 s per timed round at codegen speed: long enough to average
+    # out machine-speed drift on a shared host.
+    parser.add_argument("--packets", type=int, default=20_000)
     parser.add_argument("--tolerance", type=float, default=0.10,
                         help="allowed fractional slowdown (default 0.10)")
     parser.add_argument("--baseline", default="",
@@ -171,7 +194,8 @@ def main(argv=None) -> int:
                              "instead of re-measuring on this machine")
     parser.add_argument("--codegen", action="store_true",
                         help="guard the engine ladder instead: codegen "
-                             "pps must be >= fast pps on this machine")
+                             "pps must be >= LADDER_FLOOR x interp pps "
+                             "on this machine")
     parser.add_argument("--net", action="store_true",
                         help="guard the traffic plane instead: batched "
                              "replay must beat event replay and match "
@@ -209,15 +233,12 @@ def main(argv=None) -> int:
     if args.codegen:
         return guard_codegen(args.packets, args.tolerance)
 
+    baseline_pps, guarded_pps = measure_null_obs_pps(args.packets)
+    source = "same-machine remeasure"
     if args.baseline:
         with open(args.baseline) as handle:
-            baseline_pps = json.load(handle)["engines"]["fast"]["pps"]
+            baseline_pps = json.load(handle)["engines"]["codegen"]["pps"]
         source = args.baseline
-    else:
-        baseline_pps = measure_pps("fast", packets=args.packets)
-        source = "same-machine remeasure"
-
-    guarded_pps = measure_null_obs_pps(args.packets)
     ratio = guarded_pps / baseline_pps
     floor = 1.0 - args.tolerance
     verdict = "OK" if ratio >= floor else "REGRESSION"

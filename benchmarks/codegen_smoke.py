@@ -61,7 +61,7 @@ def main() -> int:
                                     "fwd_set_egress", [2])
                     single = _serialize(sw.process(packet.copy(), 1))
                     if engine == "codegen":
-                        assert sw._fast.source, "empty generated source"
+                        assert sw._codegen.source, "empty generated source"
                         batch = sw.process_batch([(packet.copy(), 1)])
                         if [_serialize(o) for o in [batch[0]]][0] != single:
                             raise AssertionError(

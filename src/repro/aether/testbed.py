@@ -65,12 +65,12 @@ class AetherTestbed:
     tables and the digest log window, bounds attaches, and keeps the
     checker's dictionary rows off the spines.  ``engine`` / ``batched``
     / ``obs`` pass through to the deployment — the soak benchmark runs
-    ``engine="codegen"`` with the batched traffic plane.
+    the default codegen engine with the batched traffic plane.
     """
 
     def __init__(self,
                  capacity: Optional[Union[AetherCapacity, int]] = None,
-                 engine: str = "fast",
+                 engine: str = "codegen",
                  batched: bool = False,
                  obs: Optional[Observability] = None):
         if isinstance(capacity, int):

@@ -13,7 +13,7 @@ behind a small set of verbs with uniform keyword arguments:
 * :func:`run_scenario` — one differential-oracle scenario, end to end;
 * :func:`difftest`     — a whole oracle campaign, serial or sharded;
 * :func:`bench`        — the benchmark dispatcher:
-  ``kind="engine"`` (interp/fast/codegen pps), ``kind="net"``
+  ``kind="engine"`` (interp/codegen pps), ``kind="net"``
   (paper-rate traffic-plane replay), ``kind="aether"`` (the
   million-subscriber soak);
 * :func:`aether`       — the Aether soak with full control over scale,
@@ -31,8 +31,9 @@ modules.
 
 Uniform keywords across the verbs, always keyword-only:
 
-* ``engine=``  — switch execution engine: ``"fast"``, ``"interp"``, or
-  ``"codegen"`` (the generated-source batch engine);
+* ``engine=``  — switch execution engine: ``"codegen"`` (the default,
+  generated-source compiled engine) or ``"interp"`` (the reference
+  interpreter);
 * ``obs=``     — an :class:`~repro.obs.Observability` handle (metrics
   registry + tracer) threaded through every layer; fleet runs merge
   worker registries into it;
@@ -46,8 +47,8 @@ Stability promise: these signatures are the compatibility surface
 the CLI, the experiment harnesses, and the tests are written against.
 Internal modules (``repro.difftest.harness``, ``repro.parallel.runner``,
 …) may reshuffle between releases; this module will not, short of a
-deprecation cycle (see the shims in :mod:`repro.difftest.harness` for
-the pattern).
+deprecation cycle (a one-release shim that warns with
+:class:`DeprecationWarning`, see docs/INTERNALS.md §9).
 
 Heavyweight subsystems are imported lazily inside each function so that
 ``import repro`` stays cheap and cycle-free.
@@ -57,7 +58,6 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
 from typing import Any, Callable, Dict, List, Optional, Union
 
 __all__ = ["BenchResult", "DifftestSummary", "SoakResult", "aether",
@@ -229,7 +229,7 @@ def lint(program: Any, *, name: Optional[str] = None,
 
 
 def deploy(compiled: Any, *, scenario: Any = None, topology: Any = None,
-           forwarding: Any = None, engine: str = "fast",
+           forwarding: Any = None, engine: str = "codegen",
            obs: Any = None) -> Any:
     """Stand up a running deployment of a compiled checker.
 
@@ -266,11 +266,10 @@ def run_scenario(scenario: Union[int, Any] = None, *,
     compare all three.
 
     Pass a :class:`~repro.difftest.scenario.Scenario` (or its seed as a
-    plain int), or ``seed=`` alone.  ``engines`` widens the engine set
-    the oracle cross-checks (default ``("interp", "fast")``; add
-    ``"codegen"`` for the generated-source engine).  Returns the
-    :class:`~repro.difftest.harness.ScenarioResult`; ``result.ok`` is
-    the oracle verdict.
+    plain int), or ``seed=`` alone.  ``engines`` is the engine set the
+    oracle cross-checks (default ``("interp", "codegen")``).  Returns
+    the :class:`~repro.difftest.harness.ScenarioResult`; ``result.ok``
+    is the oracle verdict.
     """
     from .difftest import gen_scenario
     from .difftest.harness import run_scenario as _run
@@ -302,8 +301,8 @@ def difftest(*, seed: int = 0, iters: int = 100, workers: int = 1,
     kill, crashed-worker respawn, and quarantine of seeds that take
     down their worker (reproducer bundles land in ``quarantine_dir``).
     For a fixed seed the verdict *set* is identical for any worker
-    count.  ``engines`` widens the engine set each scenario
-    cross-checks (default interp vs fast; add ``"codegen"``).
+    count.  ``engines`` is the engine set each scenario cross-checks
+    (default interp vs codegen).
     Returns the :class:`~repro.difftest.DifftestSummary`.
     """
     from .difftest import run_difftest
@@ -319,7 +318,7 @@ def difftest(*, seed: int = 0, iters: int = 100, workers: int = 1,
 def bench(*, kind: str = "engine", packets: int = 5000,
           replay: bool = True, workers: int = 1,
           out: Optional[str] = None, optimize: bool = False,
-          engines: Any = None, net: bool = False,
+          engines: Any = None,
           rate_pps: Optional[float] = None,
           duration_s: Optional[float] = None,
           seed: int = 5, sessions: Optional[int] = None,
@@ -327,7 +326,7 @@ def bench(*, kind: str = "engine", packets: int = 5000,
           flatness: bool = True) -> "BenchResult":
     """Benchmark dispatcher — ``kind`` selects what is measured:
 
-    * ``"engine"`` (default) — interp vs fast vs codegen packets/sec
+    * ``"engine"`` (default) — interp vs codegen packets/sec
       (plus the codegen engine's batch entry point), a campus-replay
       goodput parity check, and a metered metrics snapshot.  The timed
       pps measurement always runs serially in this process —
@@ -352,15 +351,7 @@ def bench(*, kind: str = "engine", packets: int = 5000,
     aether kind) — the report dict with typed accessors.  Writing to
     ``out`` appends the run to the report's ``history`` list so the
     trajectory across commits is preserved.
-
-    ``net=True`` is the deprecated spelling of ``kind="net"`` and
-    routes identically.
     """
-    if net:
-        warnings.warn(
-            "bench(net=True) is deprecated; use bench(kind='net')",
-            DeprecationWarning, stacklevel=2)
-        kind = "net"
     if kind not in BENCH_KINDS:
         raise ValueError(f"unknown bench kind {kind!r}; "
                          f"valid: {', '.join(BENCH_KINDS)}")
@@ -447,4 +438,4 @@ def generated_source(program: Union[int, str, Any], *,
         compiled = compile_indus(program, name=name, optimize=optimize)
     switch = Bmv2Switch(standalone_program(compiled), name="dump",
                         switch_id=1, engine="codegen")
-    return switch._fast.source
+    return switch._codegen.source

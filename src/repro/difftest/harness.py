@@ -1,7 +1,7 @@
 """The three-level differential oracle.
 
 One scenario runs through two full :class:`HydraDeployment` instances on
-the simulator — one per P4 engine (``interp`` and ``fast``) — with a
+the simulator — one per P4 engine (``interp`` and ``codegen``) — with a
 live :class:`~repro.obs.trace.Tracer` attached; the canonical ``parse``
 events of the observability plane record the hop-by-hop context each
 packet actually experienced.  The recorded trace replays through the
@@ -25,7 +25,6 @@ deployment saw.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -40,10 +39,11 @@ from ..runtime.deployment import HydraDeployment
 from ..runtime.tracecheck import run_trace
 from .scenario import Scenario, compute_path, forwarding_entries
 
-#: Default engine pair the oracle cross-checks; campaigns can widen it
-#: (e.g. ``("interp", "fast", "codegen")``) via the ``engines=`` knob on
-#: :func:`run_scenario` / :func:`repro.difftest.run_difftest`.
-ENGINES = ("interp", "fast")
+#: Engine pair the oracle cross-checks: the reference interpreter
+#: against the compiled engine.  The ``engines=`` knob on
+#: :func:`run_scenario` / :func:`repro.difftest.run_difftest` reorders
+#: or restates it.
+ENGINES = ("interp", "codegen")
 
 
 @dataclass
@@ -202,7 +202,7 @@ def _serialize_headers(packet: Packet) -> list:
 
 def build_scenario_deployment(scenario: Scenario,
                               compiled: CompiledChecker,
-                              engine: str = "fast",
+                              engine: str = "codegen",
                               obs: Optional[Observability] = None,
                               ) -> HydraDeployment:
     """Build the deployment a scenario describes: topology, forwarding
@@ -224,22 +224,6 @@ def build_scenario_deployment(scenario: Scenario,
     for name, value in scenario.controls.items():
         dep.set_control(name, value)
     return dep
-
-
-def deploy_scenario(scenario: Scenario, compiled: CompiledChecker,
-                    engine: str = "fast",
-                    obs: Optional[Observability] = None) -> HydraDeployment:
-    """Deprecated alias of :func:`build_scenario_deployment`.
-
-    Use :func:`repro.api.deploy` (``deploy(compiled,
-    scenario=scenario)``) — the stable facade — instead.
-    """
-    warnings.warn(
-        "repro.difftest.harness.deploy_scenario is deprecated; use "
-        "repro.api.deploy(compiled, scenario=scenario) instead",
-        DeprecationWarning, stacklevel=2)
-    return build_scenario_deployment(scenario, compiled, engine=engine,
-                                     obs=obs)
 
 
 def _run_engine(scenario: Scenario, compiled: CompiledChecker,
@@ -342,8 +326,8 @@ def run_scenario(scenario: Scenario,
     verdicts must be identical with or without it).  ``optimize`` runs
     the dataflow optimizer on the compiled checker before deployment —
     the campaign knob used to validate that optimization changes
-    nothing observable.  ``engines`` widens (or narrows) the engine set
-    the oracle cross-checks; the first engine is the comparison anchor
+    nothing observable.  ``engines`` is the engine set the oracle
+    cross-checks; the first engine is the comparison anchor
     and every other engine must agree with it byte-for-byte.
     """
     engines = tuple(engines) if engines else ENGINES

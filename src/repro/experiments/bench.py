@@ -1,4 +1,4 @@
-"""Engine benchmark: packets/sec for interp/fast/codegen, goodput parity.
+"""Engine benchmark: packets/sec for interp/codegen, goodput parity.
 
 Measures the raw ``Bmv2Switch.process`` forwarding rate of a single
 linked switch (the same setup as ``benchmarks/test_throughput.py``'s
@@ -29,7 +29,7 @@ from ..p4.bmv2 import Bmv2Switch
 from ..properties import load_source
 from .throughput import run_replay
 
-ENGINES = ("interp", "fast", "codegen")
+ENGINES = ("interp", "codegen")
 
 
 def _build_switch(engine: str,
@@ -66,12 +66,12 @@ def bench_meta() -> Dict[str, Any]:
 
 
 def metered_snapshot(packets: int = 2000) -> Dict[str, Any]:
-    """A short metered run of the fast engine with a *live* registry:
+    """A short metered run of the codegen engine with a *live* registry:
     the metrics snapshot stamped into the benchmark report.  The timed
     measurement itself always runs with the null registry — this run is
     separate, so observability cost never leaks into the pps numbers."""
     registry = MetricsRegistry()
-    sw = _build_switch("fast", obs=Observability(registry=registry))
+    sw = _build_switch("codegen", obs=Observability(registry=registry))
     packet = make_udp(ip(1, 1, 1, 1), ip(2, 2, 2, 2), 1, 2)
     for _ in range(packets):
         sw.process(packet, 1)
@@ -80,12 +80,12 @@ def metered_snapshot(packets: int = 2000) -> Dict[str, Any]:
     hits = sum(s["value"] for s in series
                if s["labels"].get("result") == "hit")
     total = sum(s["value"] for s in series)
-    ns_series = dump.get("fastpath_ns_per_packet", {}).get("series", [])
+    ns_series = dump.get("codegen_ns_per_packet", {}).get("series", [])
     return {
         "packets": packets,
         "table_lookups_total": total,
         "table_hit_ratio": round(hits / total, 4) if total else None,
-        "fastpath_ns_per_packet_mean":
+        "codegen_ns_per_packet_mean":
             round(ns_series[0]["mean"], 1) if ns_series else None,
         "switch_packets_dropped_total": sum(
             s["value"] for s in
@@ -194,7 +194,7 @@ def run_bench(packets: int = 5000, replay: bool = True,
     defends.  The replay and snapshot are deterministic-in-content, so
     the report is the same either way (timing fields aside).
 
-    ``engines`` restricts which engines are timed (default all three).
+    ``engines`` restricts which engines are timed (default both).
     Writing to ``out_path`` appends this run to the report's
     ``history`` list (prior runs are carried over from the existing
     file), so overwriting the report never loses the pps trajectory.
@@ -250,9 +250,9 @@ def run_bench(packets: int = 5000, replay: bool = True,
                 speedups["codegen_batch"] = round(
                     result["codegen_batch"]["pps"] / interp_pps, 2)
         result["speedups"] = speedups
-        if "fast" in speedups:
-            # Backwards-compatible scalar older tooling reads.
-            result["speedup"] = speedups["fast"]
+        if "codegen" in speedups:
+            # Scalar headline: the compiled engine against the oracle.
+            result["speedup"] = speedups["codegen"]
         if replay:
             goodput: Dict[str, Any] = {}
             for engine in engines:

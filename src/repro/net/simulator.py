@@ -1316,12 +1316,18 @@ class Network:
                 bound = heap[0][0]
             if g_h < bound:
                 bound = g_h
+            # Same tie rule as _walk: the item just taken owns its own
+            # instant.  Parking at an equal-time bound would re-park it
+            # behind a same-instant local item that does the same, and
+            # the two would swap places forever.
+            popped_t = t
             while True:
                 leg = legs[index]
                 code = leg[0]
                 if code == "dv":
                     host = leg[6]
-                    if host.rx_callbacks or t >= bound or t > stop:
+                    if (host.rx_callbacks or (t >= bound and t > popped_t)
+                            or t > stop):
                         hpush(heap, (t, seq, 1, None, leg[5],
                                      self._replay_out(legs, leg, emission),
                                      leg[4]))
@@ -1353,7 +1359,7 @@ class Network:
                 if code == "dr":
                     self.packets_lost += 1
                     break
-                if t >= bound or t > stop:
+                if (t >= bound and t > popped_t) or t > stop:
                     hpush(heap, (t, seq, 0, legs, index, emission, wgen))
                     seq += 1
                     break

@@ -7,10 +7,11 @@ insert/delete, register access, digest subscription).
 
 Two execution engines share this front door (``engine=`` on the
 constructor): the tree-walking interpreter in this module is the
-reference semantics, and :mod:`repro.p4.fastpath` compiles the program
-to closures for roughly an order of magnitude more packets/sec.  The
-differential suite (``tests/test_engine_differential.py``) pins the two
-to identical observable behavior.
+reference semantics (the oracle), and :mod:`repro.p4.codegen` compiles
+the program to generated Python source for roughly an order of
+magnitude more packets/sec.  The differential suite
+(``tests/test_engine_differential.py``) pins the two to identical
+observable behavior.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ class PacketContext:
 
 
 def _pop_source_route(ctx: "PacketContext") -> None:
-    """Shift the source-route stack down by one slot (both engines)."""
+    """Shift the source-route stack down by one slot."""
     binds = sorted(
         (b for b in ctx.hdr if b.startswith("srcRoute") and
          b[len("srcRoute"):].isdigit()),
@@ -216,10 +217,10 @@ def drop_reason(packet: Packet) -> str:
 class Bmv2Switch:
     """Executes a P4 program; holds runtime table/register state.
 
-    ``engine`` selects how packets are executed: ``"fast"`` (default)
-    compiles the program once to Python closures with indexed table
-    lookup (:mod:`repro.p4.fastpath`); ``"interp"`` walks the IR tree
-    per packet and serves as the reference semantics.
+    ``engine`` selects how packets are executed: ``"codegen"``
+    (default) compiles the program once to generated Python source with
+    indexed table lookup (:mod:`repro.p4.codegen`); ``"interp"`` walks
+    the IR tree per packet and serves as the reference semantics.
 
     ``obs`` attaches the observability plane (:mod:`repro.obs`); the
     default :data:`~repro.obs.NULL_OBS` keeps packet processing exactly
@@ -227,12 +228,12 @@ class Bmv2Switch:
     """
 
     def __init__(self, program: ir.P4Program, name: str = "s1",
-                 switch_id: int = 0, engine: str = "fast",
+                 switch_id: int = 0, engine: str = "codegen",
                  digest_capacity: int = DEFAULT_LOG_CAPACITY,
                  obs: Optional[Observability] = None):
-        if engine not in ("fast", "interp", "codegen"):
+        if engine not in ("interp", "codegen"):
             raise ValueError(f"unknown engine {engine!r} "
-                             "(expected 'fast', 'interp' or 'codegen')")
+                             "(expected 'interp' or 'codegen')")
         self.program = program
         self.name = name
         self.switch_id = switch_id
@@ -272,13 +273,10 @@ class Bmv2Switch:
         self._obs_live = False
         if obs is not None:
             self._bind_observability(obs)
-        self._fast = None
-        if engine == "fast":
-            from .fastpath import FastPath  # deferred: fastpath imports us
-            self._fast = FastPath(program, self)
-        elif engine == "codegen":
+        self._codegen = None
+        if engine == "codegen":
             from .codegen import CodegenEngine  # deferred: codegen imports us
-            self._fast = CodegenEngine(program, self)
+            self._codegen = CodegenEngine(program, self)
 
     # ==================================================================
     # Observability
@@ -300,29 +298,24 @@ class Bmv2Switch:
         self._m_table = registry.counter(
             "table_lookups_total", "table applies by outcome",
             labels=("switch", "table", "result"))
-        name = {"fast": "fastpath_ns_per_packet",
-                "codegen": "codegen_ns_per_packet"}.get(
-                    self.engine, "interp_ns_per_packet")
         self._m_ns = registry.histogram(
-            name, f"{self.engine} engine nanoseconds per packet",
+            f"{self.engine}_ns_per_packet",
+            f"{self.engine} engine nanoseconds per packet",
             buckets=DEFAULT_NS_BUCKETS)
 
     def attach_observability(self, obs: Observability) -> None:
         """Attach (or detach, with :data:`~repro.obs.NULL_OBS`) the
         observability plane.
 
-        The fast engine recompiles so instrumentation is specialized at
-        compile time — with a null handle the generated closures are
-        byte-for-byte the uninstrumented ones and the hot path pays
+        The codegen engine recompiles so instrumentation is specialized
+        at compile time — with a null handle the generated source is
+        byte-for-byte the uninstrumented one and the hot path pays
         nothing.
         """
         self._bind_observability(obs)
-        if self.engine == "fast":
-            from .fastpath import FastPath
-            self._fast = FastPath(self.program, self)
-        elif self.engine == "codegen":
+        if self._codegen is not None:
             from .codegen import CodegenEngine
-            self._fast = CodegenEngine(self.program, self)
+            self._codegen = CodegenEngine(self.program, self)
 
     def _on_digest_evict(self, count: int) -> None:
         # Rare (ring overflow only): route through whatever registry is
@@ -356,8 +349,8 @@ class Bmv2Switch:
         entry = ir.TableEntry(match=match, action=action, args=args,
                               priority=priority)
         self.entries[table_name].append(entry)
-        if self._fast is not None:
-            self._fast.invalidate_table(table_name)
+        if self._codegen is not None:
+            self._codegen.invalidate_table(table_name)
         self._notify_config(table_name)
         return entry
 
@@ -369,7 +362,7 @@ class Bmv2Switch:
         config notification.
 
         ``rows`` holds ``(match, action, args, priority)`` tuples.  The
-        execution engines fold the new entries into their live table
+        codegen engine folds the new entries into its live table
         indexes incrementally instead of discarding them, so bulk
         control-plane churn (the Aether attach path) does not trigger a
         full index rebuild per entry — or even per batch.
@@ -394,12 +387,8 @@ class Bmv2Switch:
             created.append(ir.TableEntry(match=match, action=action,
                                          args=args, priority=priority))
         self.entries[table_name].extend(created)
-        if self._fast is not None:
-            hook = getattr(self._fast, "entries_inserted", None)
-            if hook is not None:
-                hook(table_name, created)
-            else:
-                self._fast.invalidate_table(table_name)
+        if self._codegen is not None:
+            self._codegen.entries_inserted(table_name, created)
         self._notify_config(table_name)
         return created
 
@@ -409,8 +398,8 @@ class Bmv2Switch:
             self.entries[table_name].remove(entry)
         except ValueError as exc:
             raise P4RuntimeError("entry not installed") from exc
-        if self._fast is not None:
-            self._fast.invalidate_table(table_name)
+        if self._codegen is not None:
+            self._codegen.invalidate_table(table_name)
         self._notify_config(table_name)
 
     def delete_entries(self, table_name: str,
@@ -427,19 +416,15 @@ class Bmv2Switch:
         if len(kept) != len(installed) - len(ids):
             raise P4RuntimeError("entry not installed")
         installed[:] = kept
-        if self._fast is not None:
-            hook = getattr(self._fast, "entries_removed", None)
-            if hook is not None:
-                hook(table_name, list(ids.values()))
-            else:
-                self._fast.invalidate_table(table_name)
+        if self._codegen is not None:
+            self._codegen.entries_removed(table_name, list(ids.values()))
         self._notify_config(table_name)
 
     def clear_table(self, table_name: str) -> None:
         self._table(table_name)
         self.entries[table_name].clear()
-        if self._fast is not None:
-            self._fast.invalidate_table(table_name)
+        if self._codegen is not None:
+            self._codegen.invalidate_table(table_name)
         self._notify_config(table_name)
 
     def set_default_action(self, table_name: str, action: str,
@@ -455,11 +440,9 @@ class Bmv2Switch:
             )
         self.default_actions[table_name] = (action, args)
         # The codegen engine bakes default-action facts into generated
-        # source; give it a chance to recompile.  FastPath re-binds
-        # defaults lazily and has no such hook.
-        notify = getattr(self._fast, "on_default_change", None)
-        if notify is not None:
-            notify(table_name)
+        # source; give it a chance to recompile.
+        if self._codegen is not None:
+            self._codegen.on_default_change(table_name)
         self._notify_config(table_name)
 
     # Control-plane register access validates its operands and raises
@@ -517,8 +500,8 @@ class Bmv2Switch:
 
         Returns a list of (egress_port, packet) pairs — empty if dropped.
         """
-        if self._fast is not None:
-            return self._fast.process(packet, ingress_port)
+        if self._codegen is not None:
+            return self._codegen.process(packet, ingress_port)
         if self._obs_live:
             return self._process_interp_obs(packet, ingress_port)
         return self._process_interp(packet, ingress_port)
@@ -527,12 +510,11 @@ class Bmv2Switch:
         """Run a vector of ``(packet, ingress_port)`` pairs.
 
         The codegen engine executes the whole vector inside one
-        generated loop; other engines fall back to per-packet
+        generated loop; the interpreter falls back to per-packet
         :meth:`process` calls with identical observable behavior.
         """
-        batch = getattr(self._fast, "process_batch", None)
-        if batch is not None:
-            return batch(items)
+        if self._codegen is not None:
+            return self._codegen.process_batch(items)
         return [self.process(packet, port) for packet, port in items]
 
     def _process_interp_obs(self, packet: Packet,
@@ -714,16 +696,13 @@ class Bmv2Switch:
             ctx.standard.drop = True
             return
         if isinstance(stmt, ir.PopSourceRoute):
-            self._pop_source_route(ctx)
+            _pop_source_route(ctx)
             return
         if isinstance(stmt, ir.ExternCall):
             if stmt.fn is not None:
                 stmt.fn(ctx)
             return
         raise P4RuntimeError(f"unknown statement {type(stmt).__name__}")
-
-    def _pop_source_route(self, ctx: PacketContext) -> None:
-        _pop_source_route(ctx)
 
     # -- tables --------------------------------------------------------------------
 

@@ -1,22 +1,26 @@
 """Codegen execution engine: a P4 program compiled to generated source.
 
-The fast engine (:mod:`repro.p4.fastpath`) lowers the IR to nested
-Python closures — every statement still costs at least one indirect
-call per packet.  This module goes one step further: it emits one
-straight-line Python function per pipeline, ``compile()``s the source,
-and ``exec``s it, so the whole parse → ingress → egress → deparse walk
-runs in a single stack frame with flat local variables:
+This is the compiled engine behind ``Bmv2Switch(engine="codegen")`` (the
+default); the tree-walking interpreter in :mod:`repro.p4.bmv2` is the
+reference it must match.  Rather than walking the IR per packet, the
+engine emits one straight-line Python function per pipeline,
+``compile()``s the source, and ``exec``s it, so the whole parse →
+ingress → egress → deparse walk runs in a single stack frame with flat
+local variables:
 
 * **Metadata and standard metadata** become locals (``m3_counter``,
   ``sm_egress_spec``) instead of dict/attribute accesses.
 * **Header fields** read and write through hoisted ``values`` dict
-  locals; validity checks are plain attribute loads.
-* **Tables** reuse the fast engine's :class:`_TableIndex`, but the
-  bound payload is ``(action_id, args)`` and the action body is inlined
-  at every apply site behind an ``if action_id == …`` dispatch that is
-  specialized to the actions this program (plus any runtime-installed
-  entries) can dispatch to.  Exact-match lookups inline the index's
-  hash probe directly.
+  locals; validity checks are plain attribute loads.  Header binds the
+  program provably never writes share one invalid blank across packets
+  (:func:`~repro.p4.tableindex._writable_binds`).
+* **Tables** are indexed at install time
+  (:class:`~repro.p4.tableindex._TableIndex`); the bound payload is
+  ``(action_id, args)`` and the action body is inlined at every apply
+  site behind an ``if action_id == …`` dispatch that is specialized to
+  the actions this program (plus any runtime-installed entries) can
+  dispatch to.  Exact-match lookups inline the index's hash probe
+  directly.
 * **The pipelines are SSA-optimized first** (:mod:`repro.p4.ssa`) with
   the switch's *runtime* default actions as known facts, so dead
   branches and copy chains vanish from the generated source.
@@ -24,21 +28,20 @@ runs in a single stack frame with flat local variables:
   inside a single loop so replay and the bench harness amortize the
   per-packet dispatch layers.
 
-Observability is a compile-time specialization exactly like the fast
-engine's: with the null handle the generated source carries zero
-instrumentation; with a live handle the apply/digest sites emit
-counters and trace events and ``process`` is swapped for the metered
-wrapper.
+Observability is a compile-time specialization: with the null handle
+the generated source carries zero instrumentation; with a live handle
+the apply/digest sites emit counters and trace events and ``process``
+is swapped for the metered wrapper.
 
 Control-plane interplay: the generated dispatch assumes a fixed action
 set per table and bakes the SSA facts derived from the defaults at
 build time.  ``Bmv2Switch`` notifies the engine on entry inserts and
 default-action changes; the engine recompiles when an assumption no
 longer covers the installed state.  Externs receive a full
-:class:`~repro.p4.fastpath._FastContext` built from the flat locals and
-synced back afterwards (externs may mutate fields and rebind headers;
-adding *new* bind names from an extern is not supported by any engine's
-deparse contract and is not resynced here).
+:class:`~repro.p4.tableindex._FastContext` built from the flat locals
+and synced back afterwards (externs may mutate fields and rebind
+headers; adding *new* bind names from an extern is not supported by any
+engine's deparse contract and is not resynced here).
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from ..obs.profile import profiled
 from . import ir
 from .bmv2 import (DROP_PORT, DigestMessage, P4RuntimeError, StandardMetadata,
                    drop_reason)
-from .fastpath import _FastContext, _TableIndex, _writable_binds
+from .tableindex import _FastContext, _TableIndex, _writable_binds
 
 __all__ = ["CodegenEngine"]
 
@@ -145,9 +148,10 @@ _TOP = _Actx({}, None)
 class CodegenEngine:
     """One program compiled to generated Python source, for one switch.
 
-    Duck-type compatible with :class:`~repro.p4.fastpath.FastPath` where
-    ``Bmv2Switch`` touches it: ``process``, ``invalidate_table``, plus
-    the extra ``process_batch``, ``on_default_change`` and ``source``.
+    ``Bmv2Switch`` drives it through ``process``, ``process_batch``
+    and the control-plane hooks ``invalidate_table``,
+    ``entries_inserted``, ``entries_removed`` and ``on_default_change``;
+    ``source`` holds the generated module text.
     """
 
     def __init__(self, program: ir.P4Program, switch):
@@ -361,8 +365,9 @@ class CodegenEngine:
         # source-route pop rewriting headers in place), the packet shell
         # is cloned with copy_shared() and only writable binds are
         # copied at their extraction site — untouched headers ride
-        # through shared, like the fast engine's whole-packet sharing
-        # but per header.
+        # through shared, like the whole-packet sharing of programs that
+        # never mutate headers (``switch._share_headers``), but per
+        # header.
         has_pop = any(isinstance(s, ir.PopSourceRoute) for s in all_stmts)
         self._cow = (not switch._share_headers and not self._has_extern
                      and not has_pop)
@@ -973,7 +978,7 @@ class CodegenEngine:
 
     def _cond(self, cond: ir.P4Expr, actx: _Actx) -> str:
         """Emit an expression used only for its truthiness (skips the
-        1/0 boxing — mirrors FastPath._compile_cond)."""
+        1/0 boxing)."""
         if isinstance(cond, ir.UnExpr) and cond.op == "!":
             return f"(not {self._cond(cond.operand, actx)})"
         if isinstance(cond, ir.BinExpr):

@@ -87,7 +87,7 @@ class FleetOptions:
     #: Run the dataflow optimizer on every compiled scenario checker.
     optimize: bool = False
     #: Engine set each scenario cross-checks (None = the harness
-    #: default, interp vs fast).
+    #: default, interp vs codegen).
     engines: Optional[Tuple[str, ...]] = None
     #: Per-scenario wall-clock budget; past it the worker is killed and
     #: the seed quarantined (no retry — a deterministic hang would only

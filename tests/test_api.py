@@ -135,8 +135,10 @@ def test_bench_verb_smoke(tmp_path):
     out = tmp_path / "bench.json"
     result = api.bench(packets=50, replay=False, out=str(out))
     assert out.exists()
-    assert set(result["engines"]) == {"interp", "fast", "codegen"}
-    assert set(result["speedups"]) == {"fast", "codegen", "codegen_batch"}
+    assert set(result["engines"]) == {"interp", "codegen"}
+    assert set(result["speedups"]) == {"codegen", "codegen_batch"}
+    assert result["speedup"] == result["speedups"]["codegen"]
+    assert result["metrics_snapshot"]["codegen_ns_per_packet_mean"] > 0
     assert result["workers"] == 1
     assert len(result["history"]) == 1
     # restricted engine set, and a second write extends the history
@@ -146,20 +148,7 @@ def test_bench_verb_smoke(tmp_path):
     assert len(result["history"]) == 2
 
 
-# -- deprecation shims ------------------------------------------------------
-
-def test_deploy_scenario_shim_warns_and_works():
-    scenario = gen_scenario(3)
-    compiled = api.compile_indus(scenario.source(), name="dt3")
-    from repro.difftest.harness import (build_scenario_deployment,
-                                        deploy_scenario)
-
-    with pytest.warns(DeprecationWarning, match="repro.api.deploy"):
-        shimmed = deploy_scenario(scenario, compiled)
-    fresh = build_scenario_deployment(scenario, compiled)
-    assert type(shimmed) is type(fresh)
-    assert sorted(shimmed.switches) == sorted(fresh.switches)
-
+# -- stable names -----------------------------------------------------------
 
 def test_new_names_do_not_warn():
     scenario = gen_scenario(3)
@@ -186,7 +175,7 @@ def test_bench_kind_signature():
         api.bench(kind="bogus")
 
 
-def test_bench_net_shim_warns_and_routes_identically(monkeypatch):
+def test_bench_kind_net_routes_to_run_net_bench(monkeypatch):
     from repro.experiments import netbench
 
     calls = []
@@ -196,16 +185,16 @@ def test_bench_net_shim_warns_and_routes_identically(monkeypatch):
         return {"benchmark": "net_replay", "sustained": True}
 
     monkeypatch.setattr(netbench, "run_net_bench", fake_run_net_bench)
-    with pytest.warns(DeprecationWarning, match="kind='net'"):
-        shimmed = api.bench(net=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        fresh = api.bench(kind="net")
-    assert calls[0] == calls[1]
-    assert dict(shimmed) == dict(fresh)
-    assert isinstance(shimmed, api.BenchResult)
-    assert shimmed.kind == fresh.kind == "net"
-    assert shimmed.sustained is True
+        result = api.bench(kind="net")
+    assert len(calls) == 1 and calls[0]["engine"] == "codegen"
+    assert isinstance(result, api.BenchResult)
+    assert result.kind == "net"
+    assert result.sustained is True
+    # The deprecated net=True spelling is gone; kind= is the only one.
+    with pytest.raises(TypeError):
+        api.bench(net=True)
 
 
 def test_aether_verb_routes_to_run_soak(monkeypatch):
@@ -243,17 +232,17 @@ def test_bench_result_json_roundtrip():
     assert again.history == [{"speedup": 2.0}]
     engine = api.BenchResult.from_json(json.dumps(
         {"benchmark": "switch_processing_rate",
-         "engines": {"fast": {"pps": 1.0}}}))
+         "engines": {"codegen": {"pps": 1.0}}}))
     assert engine.kind == "engine"
-    assert engine.engines == {"fast": {"pps": 1.0}}
-    assert engine["engines"]["fast"]["pps"] == 1.0  # dict access intact
+    assert engine.engines == {"codegen": {"pps": 1.0}}
+    assert engine["engines"]["codegen"]["pps"] == 1.0  # dict access intact
 
 
 def test_soak_result_json_roundtrip():
     from repro.experiments.aetherbench import run_soak
 
     result = api.SoakResult(run_soak(
-        sessions=300, engine="fast", batched=False, batch_size=100,
+        sessions=300, engine="codegen", batched=False, batch_size=100,
         replay_ues=20, replay_repeats=1, flatness=False))
     again = api.SoakResult.from_json(result.to_json())
     assert again == result and again.kind == "aether"

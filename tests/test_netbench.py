@@ -59,7 +59,7 @@ def test_check_equivalence_ok():
     assert checks["offered_packets_equal"]
 
 
-@pytest.mark.parametrize("engine", ["fast", "codegen"])
+@pytest.mark.parametrize("engine", ["interp", "codegen"])
 def test_check_equivalence_across_engines(engine):
     assert check_equivalence(rate_pps=RATE, duration_s=DURATION,
                              engine=engine)["ok"]

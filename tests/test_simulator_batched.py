@@ -5,11 +5,13 @@ batch hot loop (NIC drop counting, ``last_rx_time``, wire-roundtrip
 fidelity, lazy trace generation)."""
 
 import random
+import signal
 from itertools import islice
 
 import pytest
 
-from repro.experiments.fig12 import Fig12Config, run_rtt_experiment
+from repro.experiments.fig12 import (Fig12Config, build_fabric,
+                                    run_rtt_experiment)
 from repro.net.packet import ip, make_udp
 from repro.net.simulator import Network, Simulator
 from repro.net.topology import single_switch
@@ -382,3 +384,50 @@ def test_high_rate_replay_accounts_every_packet():
     assert h1["tx"] + h1["nic_drops"] == 400
     assert h2["rx"] == h1["tx"]
     assert snap["lost"] == h1["nic_drops"]
+
+
+def test_same_instant_parked_continuations_do_not_livelock():
+    """Two cached h1->h3 replays that cross different spines reach leaf2
+    at bit-identical times and both park on its egress leg.  The one
+    popped first owns that instant; parking it again behind the other
+    used to swap the two forever."""
+    # Dyadic link timing keeps every sum exact, so the arrivals tie.
+    bandwidth = float(2 ** 23)
+    big, small = 1200, 800  # 2 * tx(big) == 3 * tx(small)
+
+    def run(batched):
+        config = Fig12Config(link_bandwidth_bps=bandwidth,
+                             link_latency_s=2.0 ** -20, batched=batched)
+        network, _ = build_fabric(None, config)
+        hosts = network.topology.hosts
+        src, dst = hosts["h1"].ipv4, hosts["h3"].ipv4
+        headers = make_udp(src, dst, 1000, 2000, payload_len=0).length
+        p1 = make_udp(src, dst, 1000, 2000, payload_len=big - headers)
+        p2 = make_udp(src, dst, 2003, 2003, payload_len=small - headers)
+        t0 = 2.0 ** -5
+        # The first pair warms both flow records; the second pair is
+        # replayed from them.  p2 leaves the NIC as p1's last bit does.
+        network.attach_source("h1", iter([
+            (0.0, p1), (2.0 ** -6, p2),
+            (t0, p1), (t0 + big * 8 / bandwidth, p2)]))
+        network.run(until=1.0)
+        spines = [network.switches[name].bmv2.packets_processed
+                  for name in ("spine1", "spine2")]
+        received = [(t, p.length)
+                    for t, p in network.hosts["h3"].received]
+        return received, spines
+
+    def stalled(_signum, _frame):
+        raise TimeoutError("batched replay livelocked")
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(10)
+    try:
+        event, _ = run(batched=False)
+        batched, spines = run(batched=True)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert all(spines), "the two flows must cross different spines"
+    assert len(event) == 4
+    assert batched == event
