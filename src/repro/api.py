@@ -418,8 +418,8 @@ def generated_source(program: Union[int, str, Any], *,
     already-compiled checker — plus a plain int, which is taken as a
     difftest scenario seed (the reproducer-bundle workflow: seeing the
     exact straight-line code an oracle divergence executed).  Returns
-    the module source as emitted (one ``_process`` and one
-    ``_process_batch`` function, specialized to the program).
+    the module source as emitted (one ``_process`` function,
+    specialized to the program).
     """
     from .compiler import standalone_program
     from .compiler.codegen import CompiledChecker

@@ -587,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "bench",
         help="benchmark the behavioral model: interp/codegen "
-             "packets/sec (plus codegen batch mode)")
+             "packets/sec")
     p.add_argument("--packets", type=_positive_int, default=5000,
                    help="packets per timing run (default 5000)")
     p.add_argument("--engine", default="",

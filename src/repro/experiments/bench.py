@@ -2,8 +2,7 @@
 
 Measures the raw ``Bmv2Switch.process`` forwarding rate of a single
 linked switch (the same setup as ``benchmarks/test_throughput.py``'s
-``test_switch_processing_rate``) under every execution engine — plus
-the codegen engine's vectorized ``process_batch`` entry point — and the
+``test_switch_processing_rate``) under every execution engine, and the
 campus-replay goodput under each engine as a parity check.  Results are
 written as ``BENCH_throughput.json``; every write appends the run's
 summary to the report's ``history`` list (keyed by commit + timestamp)
@@ -113,27 +112,6 @@ def measure_pps(engine: str, packets: int = 5000, warmup: int = 500,
     return best
 
 
-def measure_batch_pps(engine: str = "codegen", packets: int = 5000,
-                      warmup: int = 500, repeats: int = 3,
-                      optimize: bool = False) -> float:
-    """Best-of-N packets/sec through ``process_batch`` — one call per
-    timing run, so per-packet Python call overhead is amortized."""
-    if packets < 1:
-        raise ValueError("packets must be >= 1, got %d" % packets)
-    sw = _build_switch(engine, optimize=optimize)
-    packet = make_udp(ip(1, 1, 1, 1), ip(2, 2, 2, 2), 1, 2)
-    items = [(packet, 1)] * packets
-    sw.process_batch([(packet, 1)] * warmup)
-    best = 0.0
-    for _ in range(repeats):
-        start = time.perf_counter()
-        sw.process_batch(items)
-        elapsed = time.perf_counter() - start
-        if elapsed > 0:
-            best = max(best, packets / elapsed)
-    return best
-
-
 def _replay_goodput(engine: str) -> Dict[str, Any]:
     """One engine's campus-replay goodput entry (module-level so the
     worker-pool path can pickle it)."""
@@ -145,7 +123,7 @@ def _replay_goodput(engine: str) -> Dict[str, Any]:
 
 def _history_entry(result: Dict[str, Any]) -> Dict[str, Any]:
     """The compact per-run record appended to the report's history."""
-    entry: Dict[str, Any] = {
+    return {
         "commit": result["meta"].get("commit"),
         "timestamp": result["meta"].get("timestamp"),
         "optimize": result.get("optimize", False),
@@ -153,10 +131,6 @@ def _history_entry(result: Dict[str, Any]) -> Dict[str, Any]:
                     for name, stats in result["engines"].items()},
         "speedups": dict(result.get("speedups", {})),
     }
-    batch = result.get("codegen_batch")
-    if batch:
-        entry["codegen_batch_pps"] = batch["pps"]
-    return entry
 
 
 def load_history(out_path: str) -> list:
@@ -229,12 +203,6 @@ def run_bench(packets: int = 5000, replay: bool = True,
             result["engines"][engine] = {
                 "pps": round(pps, 1),
                 "us_per_packet": round(1e6 / pps, 2)}
-        if "codegen" in engines:
-            batch_pps = measure_batch_pps("codegen", packets=packets,
-                                          optimize=optimize)
-            result["codegen_batch"] = {
-                "pps": round(batch_pps, 1),
-                "us_per_packet": round(1e6 / batch_pps, 2)}
         if snapshot_async is not None:
             result["metrics_snapshot"] = snapshot_async.get()
         else:
@@ -246,9 +214,6 @@ def run_bench(packets: int = 5000, replay: bool = True,
                 if engine != "interp":
                     speedups[engine] = round(
                         result["engines"][engine]["pps"] / interp_pps, 2)
-            if "codegen_batch" in result:
-                speedups["codegen_batch"] = round(
-                    result["codegen_batch"]["pps"] / interp_pps, 2)
         result["speedups"] = speedups
         if "codegen" in speedups:
             # Scalar headline: the compiled engine against the oracle.
@@ -282,10 +247,6 @@ def format_bench(result: Dict[str, Any]) -> str:
     for engine, stats in result["engines"].items():
         lines.append(f"  {engine:13s} {stats['pps']:10.0f} pps  "
                      f"({stats['us_per_packet']:.1f} us/pkt)")
-    batch = result.get("codegen_batch")
-    if batch:
-        lines.append(f"  codegen batch {batch['pps']:10.0f} pps  "
-                     f"({batch['us_per_packet']:.1f} us/pkt)")
     for engine, ratio in result.get("speedups", {}).items():
         lines.append(f"  speedup {ratio:6.2f}x ({engine} vs interp)")
     goodput = result.get("replay_goodput")

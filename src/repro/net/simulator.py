@@ -17,13 +17,13 @@ Two execution modes share one timing model:
 * **event mode** (default) — one scheduler event per enqueue / arrival /
   forward, exactly the historical behaviour;
 * **batched mode** (``Network(batched=True)``) — the hot loop for
-  paper-rate replay.  Packets walk their whole path eagerly inside one
-  event under the *horizon invariant* (every eagerly executed step must
-  predate the next pending scheduler event, else the walk parks itself
-  as a continuation event), stateless fabrics fast-forward repeat
-  template emissions through cached per-flow transit records, and
-  stateful fabrics drain bursts through ``Bmv2Switch.process_batch``
-  one switch at a time.  See ``docs/INTERNALS.md`` for the invariants.
+  paper-rate replay.  One drain loop per source wakeup walks each
+  packet's whole path eagerly under the *horizon invariant* (every
+  eagerly executed step must predate the next pending scheduler event,
+  else the walk parks itself as a continuation event); stateless
+  fabrics additionally fast-forward repeat template emissions through
+  cached per-flow transit records, while stateful fabrics walk every
+  emission.  See ``docs/INTERNALS.md`` for the invariants.
 
 The scheduler itself is a slotted timing wheel (per-slot min-heaps keep
 the exact ``(time, seq)`` FIFO order of the old global heap) with a
@@ -49,9 +49,6 @@ from .topology import Endpoint, Link, Topology
 
 DEFAULT_STAGE_DELAY_S = 40e-9     # per-pipeline-stage latency
 DEFAULT_STAGES = 12               # the Aether fabric-upf baseline
-
-#: Largest number of due emissions a batched source drains per wakeup.
-BURST_LIMIT = 512
 
 
 def _noop() -> None:
@@ -307,7 +304,7 @@ class Network:
     lengths.)
 
     With ``batched=True`` the network runs the batch hot loop (eager
-    path walks + flow fast-forwarding + burst pipeline draining) with
+    path walks + flow fast-forwarding on stateless fabrics) with
     timing identical to event mode; a live tracer disables the eager
     machinery (trace consumers want one event per hop) and falls back
     to event mode transparently.
@@ -512,7 +509,7 @@ class Network:
                             out_packet)
 
     # ==================================================================
-    # Batched mode: eager walks, flow fast-forwarding, burst draining
+    # Batched mode: eager walks and flow fast-forwarding
     # ==================================================================
     #
     # Exactness rests on the horizon invariant: simulated work at
@@ -542,44 +539,16 @@ class Network:
         self.sim.schedule_at(source.head[0], lambda: self._pump(source))
 
     def _pump(self, source: _LazySource) -> None:
-        if not (self.batched and not self._trace):
-            # Event mode: transmit the head emission, reschedule for
-            # the next — one event per emission, nothing materialized.
-            when, packet = source.pop()
-            self.transmit_from_host(source.host, packet)
-            if source.head is not None:
-                self.sim.schedule_at(source.head[0],
-                                     lambda: self._pump(source))
-            return
-        if self._ff_ready():
+        if self.batched and not self._trace:
             self._drain(source)
             return
-        sim = self.sim
-        until = sim.run_until
-        while source.head is not None:
-            when = source.head[0]
-            horizon = sim.peek_next_time()
-            # Park only when the emission is strictly in the future: a
-            # pump popped at its own head time owns this instant (every
-            # pending same-time event has a larger seq and serializes
-            # after it).  Re-parking at ties would ping-pong forever
-            # against another same-instant continuation doing the same.
-            if ((until is not None and when > until)
-                    or (horizon is not None and when >= horizon
-                        and when > sim.now)):
-                sim.schedule_at(when, lambda: self._pump(source))
-                return
-            # Stateful fabric: drain every due emission into one burst
-            # and push it through the switches a whole stage at a time.
-            burst: List[Tuple[float, Packet]] = [source.pop()]
-            while (source.head is not None and len(burst) < BURST_LIMIT):
-                when = source.head[0]
-                if ((horizon is not None and when >= horizon)
-                        or (until is not None and when > until)):
-                    break
-                burst.append(source.pop())
-            cap = source.head[0] if source.head is not None else None
-            self._walk_burst(source.host, burst, cap)
+        # Event mode: transmit the head emission, reschedule for the
+        # next — one event per emission, nothing materialized.
+        when, packet = source.pop()
+        self.transmit_from_host(source.host, packet)
+        if source.head is not None:
+            self.sim.schedule_at(source.head[0],
+                                 lambda: self._pump(source))
 
     def _ff_ready(self) -> bool:
         """Flow fast-forwarding admission: every switch stateless, no
@@ -621,15 +590,16 @@ class Network:
             # Template emissions memoize their own record (validated by
             # generation); the keyed cache is the fallback for distinct
             # packet objects sharing Header instances.
+            host = self.hosts[host_name]
             ff = getattr(packet, "_ff", None)
-            if ff is not None and ff[0] == gen and ff[2] == host_name:
+            if ff is not None and ff[0] == gen and ff[2] is host:
                 self._replay_record(ff[1], packet, t, cap, 0, gen)
                 return
             key = (host_name, packet.payload_len) + tuple(
                 map(id, packet.headers))
             legs = self._flow_cache.get(key)
             if legs is not None:
-                packet._ff = self._ff_memo(gen, legs, host_name)
+                packet._ff = self._ff_memo(gen, legs, host)
                 self._replay_record(legs, packet, t, cap, 0, gen)
                 return
             self._walk("wire", host_name, 0, packet, t, cap,
@@ -787,18 +757,23 @@ class Network:
         first = stored[0]
         if first[0] == "hw":
             first[6]._ff = self._ff_memo(self._cache_gen, stored,
-                                         first[1])
+                                         first[7])
 
     @staticmethod
-    def _ff_memo(gen: int, legs: list, host_name: str) -> tuple:
+    def _ff_memo(gen: int, legs: list, host: Host) -> tuple:
         """Build a template's replay memo (checked in ``_drain`` and
         :meth:`_walk_from_host`).
 
-        The memo carries the emitting host: the same template sent from
-        a different host takes a different path, so a host mismatch
-        falls through to the keyed cache.  Records with the canonical
-        one-switch shape additionally carry their legs pre-unpacked so
-        the drain's straight-line path pays no per-emission shape test:
+        The memo carries the emitting :class:`Host` object: the same
+        template sent from a different host takes a different path, so
+        a host mismatch falls through to the keyed cache.  Matching on
+        object identity also keeps a template shared between two
+        networks from replaying the other network's record — so a
+        network that never records (stateful fabric or wire
+        serialization) never replays one either.  Records with the
+        canonical one-switch shape additionally carry their legs
+        pre-unpacked so the drain's straight-line path pays no
+        per-emission shape test:
 
           ``(gen, legs, host, hw, fw_delay, sw, dv, dv_host)``
 
@@ -806,9 +781,9 @@ class Network:
         """
         if (len(legs) == 4 and legs[1][0] == "fw" and legs[2][0] == "sw"
                 and legs[3][0] == "dv"):
-            return (gen, legs, host_name, legs[0], legs[1][3], legs[2],
+            return (gen, legs, host, legs[0], legs[1][3], legs[2],
                     legs[3], legs[3][6])
-        return (gen, legs, host_name, None)
+        return (gen, legs, host, None)
 
     def _deliver_walk(self, host_name: str, port: int, packet: Packet,
                       arrival: float, horizon: Optional[float],
@@ -945,8 +920,15 @@ class Network:
             self._walk("wire", leg[1], leg[2], leg[6], t, cap, None, None)
 
     def _drain(self, source: _LazySource) -> None:
-        """The batch hot loop: drain a source through the fabric with a
-        local run queue instead of global scheduler events.
+        """The batch hot loop — the one batched source path: drain a
+        source through the fabric with a local run queue instead of
+        global scheduler events.
+
+        On a stateful fabric (or with wire serialization) no transit
+        records exist, so every emission takes the no-record branch: a
+        plain eager :meth:`_walk` per emission, capped by the next due
+        item, with the horizon re-peeked after each walk.  The
+        rest of this docstring concerns fast-forwarded replay.
 
         A tiny event loop over a local heap merges three item streams
         in exact virtual-time order — source emissions, parked replay
@@ -996,7 +978,10 @@ class Network:
         ``(time, local seq)`` order, generic replay legs yield to any
         earlier item before claiming a port, and the strict
         ``t < horizon`` bound means no local work runs at or past a
-        global event's time.
+        global event's time — with one exception, the tie rule: the
+        head emission this pump was scheduled for owns its instant and
+        runs even when a global event shares its time (see ``owned``
+        below).
 
         Local heap items (fixed arity, compared on ``(t, seq)``):
           ``(t, seq, 0, legs, index, emission, gen)``  replay continuation
@@ -1045,6 +1030,14 @@ class Network:
         cappend = None
         cmet = None
         ndeliv = 0               # self.packets_delivered delta
+        # The head the scheduler popped owns its instant: every pending
+        # event at the same time has a larger seq and serializes after
+        # it, so it runs even at an equal-time horizon.  Parking it
+        # instead would re-park behind another source's same-instant
+        # pump doing the same, forever.  Later heads keep the strict
+        # test, so same-instant emissions of different sources
+        # interleave exactly as in event mode.
+        owned = True
         while True:
             head = source.head
             if not heap:
@@ -1056,15 +1049,16 @@ class Network:
                     # earlier work).
                     break
                 t = head[0]
-                if t >= g_h or t > stop:
+                if (t >= g_h and not owned) or t > stop:
                     break
+                owned = False
                 emission = head[1]
                 source.head = nxt(src_iter, None)
                 try:
                     ff = emission._ff
                 except AttributeError:
                     ff = None
-                if ff is not None and ff[0] == gen and ff[2] == src_name:
+                if ff is not None and ff[0] == gen and ff[2] is src_host:
                     hw = ff[3]
                     if hw is not None:
                         dvhost = ff[7]
@@ -1161,9 +1155,10 @@ class Network:
                     index = 0
                     wgen = gen
                 else:
-                    # No (valid) record: flush, then run the recording
-                    # walk, capped by whatever is due next here or
-                    # globally.
+                    # No (valid) record — always the case on a stateful
+                    # fabric: flush, then walk (recording when the
+                    # fabric is stateless), capped by whatever is due
+                    # next here or globally.
                     if nic_cached:
                         nic_cached = False
                         src_host.nic_busy_until = nic_busy
@@ -1243,7 +1238,7 @@ class Network:
                     except AttributeError:
                         ff = None
                     if (ff is None or ff[0] != gen
-                            or ff[2] != src_name):
+                            or ff[2] is not src_host):
                         bound = source.head[0] \
                             if source.head is not None else inf
                         if heap[0][0] < bound:
@@ -1436,142 +1431,6 @@ class Network:
                 schedule_at(now_hi, _noop)
             else:
                 sim.now = now_hi
-
-    def _walk_burst(self, host_name: str,
-                    burst: List[Tuple[float, Packet]],
-                    cap: Optional[float]) -> None:
-        """Push a burst of same-host emissions through the fabric one
-        stage at a time (struct-of-arrays transit state), invoking each
-        switch's ``process_batch`` once per stage.
-
-        Used when the fabric is stateful (no flow cache).  The burst
-        stays lockstep only while every member takes the same switch
-        sequence with no revisits — per-switch pipeline order then
-        equals arrival order, exactly as in event mode, because FIFO
-        ports never reorder a shared path.  Members that would split
-        off (ECMP spread, loops) or cross the horizon leave the burst
-        as ordinary scheduler events.
-        """
-        sim = self.sim
-        maxq = self.max_queue_delay_s
-        until = sim.run_until
-        link, src = self._host_uplink(host_name)
-        host = self.hosts[host_name]
-        bandwidth = link.bandwidth_bps
-        latency = link.latency_s
-        entry = link.other(src)
-        # Stage state (struct-of-arrays): parallel arrival times,
-        # packets, and ingress ports, plus the switch they share.
-        times: List[float] = []
-        packets: List[Packet] = []
-        ports: List[int] = []
-        for t, packet in burst:
-            # Host NIC leg; burst emissions are horizon-checked by the
-            # pump, so every member is admissible here.
-            sim.now = t
-            tx_time = packet.length * 8 / bandwidth
-            start = max(t, host.nic_busy_until)
-            queue_wait = start - t
-            if maxq is not None and queue_wait > maxq:
-                host.nic_drops += 1
-                self._drop(host_name, packet, "queue_full", port=0,
-                           queue_wait_s=queue_wait)
-                continue
-            host.nic_busy_until = start + tx_time
-            host.tx_count += 1
-            if self.serialize_on_wire:
-                packet = self._wire_roundtrip(packet)
-            arrival = (start + tx_time - t) + latency + t
-            times.append(arrival)
-            packets.append(packet)
-            ports.append(entry.port)
-        node = entry.node
-        visited = {node}
-        while times:
-            horizon = self._horizon(cap)
-            device = self.switches[node]
-            proc = device.processing_delay_s
-            items: List[Tuple[Packet, int]] = []
-            fwd_times: List[float] = []
-            for i, arrival in enumerate(times):
-                t_fwd = arrival + proc
-                if ((horizon is not None and t_fwd >= horizon)
-                        or (until is not None and t_fwd > until)):
-                    self._defer_walk("fw", node, ports[i], packets[i],
-                                     t_fwd)
-                    continue
-                items.append((packets[i], ports[i]))
-                fwd_times.append(t_fwd)
-            if not items:
-                return
-            results = device.bmv2.process_batch(items)
-            onward: List[Tuple[float, Packet, int, str]] = []
-            for t_fwd, outputs in zip(fwd_times, results):
-                sim.now = t_fwd
-                horizon = self._horizon(cap)
-                if not outputs:
-                    self.packets_lost += 1
-                    continue
-                if len(outputs) > 1:
-                    for egress_port, out_packet in outputs:
-                        self._defer_walk("wire", node, egress_port,
-                                         out_packet, t_fwd)
-                    continue
-                egress_port, out_packet = outputs[0]
-                out_link = self.topology.link_at(node, egress_port)
-                if out_link is None:
-                    self._drop(node, out_packet, "no_route",
-                               port=egress_port)
-                    continue
-                if ((horizon is not None and t_fwd >= horizon)
-                        or (until is not None and t_fwd > until)):
-                    self._defer_walk("wire", node, egress_port, out_packet,
-                                     t_fwd)
-                    continue
-                tx_time = out_packet.length * 8 / out_link.bandwidth_bps
-                start = max(t_fwd,
-                            device.port_busy_until.get(egress_port, 0.0))
-                queue_wait = start - t_fwd
-                if maxq is not None and queue_wait > maxq:
-                    self._drop(node, out_packet, "queue_full",
-                               port=egress_port, queue_wait_s=queue_wait)
-                    continue
-                device.port_busy_until[egress_port] = start + tx_time
-                device.bytes_forwarded += out_packet.length
-                if self.serialize_on_wire:
-                    out_packet = self._wire_roundtrip(out_packet)
-                arrival = ((start + tx_time - t_fwd)
-                           + out_link.latency_s + t_fwd)
-                dst = out_link.other(Endpoint(node, egress_port))
-                if dst.node in self.hosts:
-                    # Deliveries go through the queue so arrival-time
-                    # order is preserved across burst members whose
-                    # transit times inverted their emission order.
-                    end = dst
-                    pkt = out_packet
-                    sim.schedule_at(arrival,
-                                    lambda e=end, p=pkt: self._arrive(e, p))
-                    continue
-                onward.append((arrival, out_packet, dst.port, dst.node))
-            if not onward:
-                return
-            onward.sort(key=lambda item: item[0])
-            head = onward[0][3]
-            if head in visited or any(item[3] != head for item in onward):
-                # Split paths or a forwarding loop: lockstep order is no
-                # longer provably the event order — hand every member to
-                # the scheduler at its arrival time.
-                for arrival, out_packet, port, nxt in onward:
-                    end = Endpoint(nxt, port)
-                    sim.schedule_at(
-                        arrival,
-                        lambda e=end, p=out_packet: self._arrive(e, p))
-                return
-            visited.add(head)
-            times = [item[0] for item in onward]
-            packets = [item[1] for item in onward]
-            ports = [item[2] for item in onward]
-            node = head
 
     # -- conveniences -----------------------------------------------------------------
 

@@ -507,14 +507,9 @@ class Bmv2Switch:
         return self._process_interp(packet, ingress_port)
 
     def process_batch(self, items) -> List[List[Tuple[int, Packet]]]:
-        """Run a vector of ``(packet, ingress_port)`` pairs.
-
-        The codegen engine executes the whole vector inside one
-        generated loop; the interpreter falls back to per-packet
-        :meth:`process` calls with identical observable behavior.
-        """
-        if self._codegen is not None:
-            return self._codegen.process_batch(items)
+        """Run a vector of ``(packet, ingress_port)`` pairs: one
+        :meth:`process` call per pair, in order, with identical
+        observable behavior."""
         return [self.process(packet, port) for packet, port in items]
 
     def _process_interp_obs(self, packet: Packet,

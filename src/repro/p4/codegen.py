@@ -24,9 +24,6 @@ local variables:
 * **The pipelines are SSA-optimized first** (:mod:`repro.p4.ssa`) with
   the switch's *runtime* default actions as known facts, so dead
   branches and copy chains vanish from the generated source.
-* A **batch entry point** (``_process_batch``) runs the same body
-  inside a single loop so replay and the bench harness amortize the
-  per-packet dispatch layers.
 
 Observability is a compile-time specialization: with the null handle
 the generated source carries zero instrumentation; with a live handle
@@ -148,10 +145,10 @@ _TOP = _Actx({}, None)
 class CodegenEngine:
     """One program compiled to generated Python source, for one switch.
 
-    ``Bmv2Switch`` drives it through ``process``, ``process_batch``
-    and the control-plane hooks ``invalidate_table``,
-    ``entries_inserted``, ``entries_removed`` and ``on_default_change``;
-    ``source`` holds the generated module text.
+    ``Bmv2Switch`` drives it through ``process`` and the control-plane
+    hooks ``invalidate_table``, ``entries_inserted``, ``entries_removed``
+    and ``on_default_change``; ``source`` holds the generated module
+    text, whose one function is ``_process(packet, ingress_port)``.
     """
 
     def __init__(self, program: ir.P4Program, switch):
@@ -236,13 +233,8 @@ class CodegenEngine:
                            f"<codegen:{self.program.name}>", "exec")
             exec(code, self._globals)
             self._run = self._globals["_process"]
-            self._run_batch = self._globals["_process_batch"]
-        if self._instrumented:
-            self.process = self._process_obs
-            self.process_batch = self._process_batch_obs
-        else:
-            self.process = self._run
-            self.process_batch = self._run_batch
+        self.process = (self._process_obs if self._instrumented
+                        else self._run)
 
     def _specialize(self) -> Tuple[List[ir.P4Stmt], List[ir.P4Stmt]]:
         """SSA-optimize private copies of the pipelines under the
@@ -387,16 +379,7 @@ class CodegenEngine:
             "def _process(packet, ingress_port):",
         ]
         self._site = 0
-        self._emit_pipeline(lines, 1, False, ingress, egress)
-        lines.append("")
-        lines.append("")
-        lines.append("def _process_batch(items):")
-        lines.append("    _results = []")
-        lines.append("    _append = _results.append")
-        lines.append("    for packet, ingress_port in items:")
-        self._site = 0
-        self._emit_pipeline(lines, 2, True, ingress, egress)
-        lines.append("    return _results")
+        self._emit_pipeline(lines, 1, ingress, egress)
         lines.append("")
         return "\n".join(lines)
 
@@ -469,12 +452,11 @@ class CodegenEngine:
 
     # -- pipeline body -------------------------------------------------------
 
-    def _emit_pipeline(self, lines: List[str], ind: int, batch: bool,
+    def _emit_pipeline(self, lines: List[str], ind: int,
                        ingress: List[ir.P4Stmt],
                        egress: List[ir.P4Stmt]) -> None:
         pad = "    " * ind
         emit = lines.append
-        drop_exit = ("_append([])" + "; continue") if batch else "return []"
         emit(f"{pad}SW.packets_processed += 1")
         copy_call = ("packet.copy_shared()"
                      if self.switch._share_headers or self._cow
@@ -501,12 +483,12 @@ class CodegenEngine:
         self._emit_body(ingress, lines, ind, _TOP)
         emit(f"{pad}if sm_drop or sm_egress_spec == {DROP_PORT}:")
         emit(f"{pad}    SW.packets_dropped += 1")
-        emit(f"{pad}    {drop_exit}")
+        emit(f"{pad}    return []")
         emit(f"{pad}sm_egress_port = sm_egress_spec")
         self._emit_body(egress, lines, ind, _TOP)
         emit(f"{pad}if sm_drop:")
         emit(f"{pad}    SW.packets_dropped += 1")
-        emit(f"{pad}    {drop_exit}")
+        emit(f"{pad}    return []")
         emit(f"{pad}_emit = []")
         order = self.program.emit_order or list(self._bind_types)
         for bind in order:
@@ -517,10 +499,7 @@ class CodegenEngine:
             emit(f"{pad}    _emit.append({local})")
         emit(f"{pad}_emit.extend(_tail)")
         emit(f"{pad}work.headers = _emit")
-        if batch:
-            emit(f"{pad}_append([(sm_egress_port, work)])")
-        else:
-            emit(f"{pad}return [(sm_egress_port, work)]")
+        emit(f"{pad}return [(sm_egress_port, work)]")
 
     # -- parser --------------------------------------------------------------
 
@@ -1022,6 +1001,3 @@ class CodegenEngine:
                             packet_id=out_packet.packet_id,
                             port=egress_port, egress_port=egress_port)
         return outputs
-
-    def _process_batch_obs(self, items) -> List[List[Tuple[int, Packet]]]:
-        return [self._process_obs(packet, port) for packet, port in items]

@@ -136,7 +136,7 @@ def test_bench_verb_smoke(tmp_path):
     result = api.bench(packets=50, replay=False, out=str(out))
     assert out.exists()
     assert set(result["engines"]) == {"interp", "codegen"}
-    assert set(result["speedups"]) == {"codegen", "codegen_batch"}
+    assert set(result["speedups"]) == {"codegen"}
     assert result["speedup"] == result["speedups"]["codegen"]
     assert result["metrics_snapshot"]["codegen_ns_per_packet_mean"] > 0
     assert result["workers"] == 1

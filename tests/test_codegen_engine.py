@@ -141,7 +141,7 @@ def test_default_change_recompiles_only_on_real_change():
 def test_null_obs_leaves_no_residue():
     source = build_switch()._codegen.source
     assert "def _process(" in source
-    assert "def _process_batch(" in source
+    assert "_process_batch" not in source
     assert "TR." not in source      # no tracer calls
     assert ".inc()" not in source   # no metrics counters
 
@@ -199,7 +199,7 @@ def test_attach_observability_rebuilds():
 
 def test_generated_source_api_accepts_every_program_form(tmp_path):
     by_name = repro.api.generated_source("loops")
-    assert "def _process(" in by_name and "def _process_batch(" in by_name
+    assert "def _process(" in by_name and "_process_batch" not in by_name
     compiled = repro.compile_indus("loops")
     assert repro.api.generated_source(compiled) == by_name
 

@@ -6,15 +6,18 @@ fidelity, lazy trace generation)."""
 
 import random
 import signal
+from contextlib import contextmanager
 from itertools import islice
 
 import pytest
 
 from repro.experiments.fig12 import (Fig12Config, build_fabric,
                                     run_rtt_experiment)
+from repro.net.fastforward import stateless_program
 from repro.net.packet import ip, make_udp
 from repro.net.simulator import Network, Simulator
 from repro.net.topology import single_switch
+from repro.p4 import ir
 from repro.p4.bmv2 import Bmv2Switch
 from repro.p4.programs import l2_port_forwarding
 from repro.workloads.campus import CampusTraceGenerator
@@ -116,9 +119,9 @@ def test_wheel_matches_reference_order_property():
 # Batched vs event exactness
 # ---------------------------------------------------------------------------
 
-def _make_network(batched, hosts=2, **kwargs):
+def _make_network(batched, hosts=2, program=l2_port_forwarding, **kwargs):
     topo = single_switch(hosts)
-    bmv2 = Bmv2Switch(l2_port_forwarding(), name="s1")
+    bmv2 = Bmv2Switch(program(), name="s1")
     entries = []
     for port in range(1, hosts + 1):
         out = 2 if port == 1 else 1
@@ -182,15 +185,16 @@ def _template_stream(topo, count, gap_s, payload_len=100, start=0.0):
     return [(start + i * gap_s, packet) for i in range(count)]
 
 
-def test_batched_replay_matches_event_mode_exactly():
+def test_batched_replay_matches_event_mode_exactly(serialize_on_wire=False):
     snap = _run_both(lambda topo, network, bmv2, entries:
                      network.attach_source(
-                         "h1", iter(_template_stream(topo, 200, 2e-6))))
+                         "h1", iter(_template_stream(topo, 200, 2e-6))),
+                     serialize_on_wire=serialize_on_wire)
     assert snap["hosts"]["h2"]["rx"] == 200
     assert snap["delivered"] == 200
 
 
-def test_batched_distinct_packets_match_event_mode():
+def test_batched_distinct_packets_match_event_mode(serialize_on_wire=False):
     def attach(topo, network, bmv2, entries):
         emissions = [
             (i * 3e-6,
@@ -200,11 +204,12 @@ def test_batched_distinct_packets_match_event_mode():
         ]
         network.attach_source("h1", iter(emissions))
 
-    snap = _run_both(attach)
+    snap = _run_both(attach, serialize_on_wire=serialize_on_wire)
     assert snap["hosts"]["h2"]["rx"] == 120
 
 
-def test_batched_contention_and_queue_full_match_event_mode():
+def test_batched_contention_and_queue_full_match_event_mode(
+        serialize_on_wire=False):
     """Two sources racing for one output port: FIFO queueing and
     queue_full drops must land identically in both modes."""
     def attach(topo, network, bmv2, entries):
@@ -217,12 +222,13 @@ def test_batched_contention_and_queue_full_match_event_mode():
         network.attach_source(
             "h2", iter([(0.5e-6 + i * 1e-6, big_2) for i in range(150)]))
 
-    snap = _run_both(attach, hosts=3, max_queue_delay_s=2e-5)
+    snap = _run_both(attach, hosts=3, max_queue_delay_s=2e-5,
+                     serialize_on_wire=serialize_on_wire)
     assert snap["lost"] > 0, "scenario must actually overflow the FIFO"
     assert snap["hosts"]["h3"]["rx"] + snap["lost"] == 300
 
 
-def test_batched_rx_callbacks_match_event_mode():
+def test_batched_rx_callbacks_match_event_mode(serialize_on_wire=False):
     """A consuming rx callback disables inline fused delivery; the
     fallback must stay exact."""
     def attach(topo, network, bmv2, entries):
@@ -230,12 +236,13 @@ def test_batched_rx_callbacks_match_event_mode():
         network.attach_source(
             "h1", iter(_template_stream(topo, 100, 2e-6)))
 
-    snap = _run_both(attach)
+    snap = _run_both(attach, serialize_on_wire=serialize_on_wire)
     assert snap["hosts"]["h2"]["rx"] == 100
     assert snap["hosts"]["h2"]["received"] == []  # consumed
 
 
-def test_batched_mid_run_config_change_matches_event_mode():
+def test_batched_mid_run_config_change_matches_event_mode(
+        serialize_on_wire=False):
     """A control-plane change mid-replay invalidates cached transit
     records; deliveries before and after must match event mode."""
     def attach(topo, network, bmv2, entries):
@@ -247,19 +254,81 @@ def test_batched_mid_run_config_change_matches_event_mode():
         network.attach_source(
             "h1", iter(_template_stream(topo, 100, 3e-6)))
 
-    snap = _run_both(attach, hosts=3)
+    snap = _run_both(attach, hosts=3, serialize_on_wire=serialize_on_wire)
     # Before the reroute packets reach h3 (3-host wiring sends 1->3);
     # the reroute is a no-op route-wise but must still bump the cache
     # generation without perturbing timing.
     assert snap["hosts"]["h3"]["rx"] == 100
 
 
-def test_batched_run_until_flushes_and_resumes_exactly():
+def test_batched_run_until_flushes_and_resumes_exactly(
+        serialize_on_wire=False):
     snap = _run_both(
         lambda topo, network, bmv2, entries: network.attach_source(
             "h1", iter(_template_stream(topo, 100, 2e-6))),
-        until=1e-4)
+        until=1e-4, serialize_on_wire=serialize_on_wire)
     assert snap["hosts"]["h2"]["rx"] == 100
+
+
+# The scenarios above run on the stateless, fast-forwarded path.  Wire
+# serialization turns fast-forward off, so the same scenarios then
+# replay every emission through ``_drain``'s eager walks — the path
+# every stateful (checker-live) fabric takes.
+@pytest.mark.parametrize("scenario", [
+    test_batched_replay_matches_event_mode_exactly,
+    test_batched_distinct_packets_match_event_mode,
+    test_batched_contention_and_queue_full_match_event_mode,
+    test_batched_rx_callbacks_match_event_mode,
+    test_batched_mid_run_config_change_matches_event_mode,
+    test_batched_run_until_flushes_and_resumes_exactly,
+], ids=lambda test: test.__name__[len("test_batched_"):])
+def test_walked_path_matches_event_mode(scenario):
+    scenario(serialize_on_wire=True)
+
+
+def _alternating_forwarding():
+    """Port forwarding with a per-ingress-port packet counter register:
+    every odd-numbered packet leaves on port 2 instead of the table's
+    port.  Routing depends on switch state, so the program is stateful
+    for a real reason and per-switch processing order is observable."""
+    program = l2_port_forwarding("l2alt")
+    program.metadata.append(("seen", 32))
+    program.add_register(ir.RegisterDef("seen", 32, size=8))
+    port = ir.FieldRef("standard_metadata.ingress_port")
+    seen = ir.FieldRef("meta.seen")
+    program.ingress += [
+        ir.RegisterRead("meta.seen", "seen", port),
+        ir.RegisterWrite("seen", port,
+                         ir.BinExpr("+", seen, ir.Const(1, 32), 32)),
+        ir.IfStmt(ir.BinExpr("==", ir.BinExpr("&", seen, ir.Const(1, 32),
+                                              32), ir.Const(1, 32)),
+                  then_body=[ir.AssignStmt(
+                      "standard_metadata.egress_spec", ir.Const(2, 9))]),
+    ]
+    return program
+
+
+@pytest.mark.parametrize("serialize_on_wire", [False, True])
+def test_register_writing_fabric_matches_event_mode(serialize_on_wire):
+    """A stateful fabric never fast-forwards: two contending sources
+    walk every emission, and the register-driven routing must come out
+    exactly as in event mode."""
+    assert not stateless_program(_alternating_forwarding())
+
+    def attach(topo, network, bmv2, entries):
+        for host, offset in (("h1", 0.0), ("h2", 0.3e-6)):
+            packet = make_udp(topo.hosts[host].ipv4, topo.hosts["h3"].ipv4,
+                              1, 2, payload_len=600)
+            network.attach_source(
+                host, iter([(offset + i * 1e-6, packet)
+                            for i in range(120)]))
+
+    snap = _run_both(attach, hosts=3, program=_alternating_forwarding,
+                     max_queue_delay_s=2e-5,
+                     serialize_on_wire=serialize_on_wire)
+    h2, h3 = snap["hosts"]["h2"], snap["hosts"]["h3"]
+    assert h2["rx"] > 0 and h3["rx"] > 0
+    assert h2["rx"] + h3["rx"] + snap["lost"] == 240
 
 
 def test_same_template_from_two_hosts_replays_each_hosts_path():
@@ -278,6 +347,28 @@ def test_same_template_from_two_hosts_replays_each_hosts_path():
     assert snap["hosts"]["h3"]["rx"] == 100
     assert snap["hosts"]["h1"]["tx"] == 50
     assert snap["hosts"]["h2"]["tx"] == 50
+
+
+@pytest.mark.parametrize("serialize_on_wire", [False, True])
+def test_template_shared_between_networks_stays_in_its_network(
+        serialize_on_wire):
+    """A template replayed by one network carries that network's
+    transit record.  A second network sending the same object must
+    walk or record its own path, not replay the first network's hosts
+    and ports."""
+    topo, first, _, _ = _make_network(batched=True)
+    packet = make_udp(topo.hosts["h1"].ipv4, topo.hosts["h2"].ipv4,
+                      1, 2, payload_len=100)
+    emissions = [(i * 2e-6, packet) for i in range(20)]
+    first.attach_source("h1", iter(emissions))
+    first.run()
+    _, second, _, _ = _make_network(batched=True,
+                                    serialize_on_wire=serialize_on_wire)
+    second.attach_source("h1", iter(emissions))
+    second.run()
+    assert first.host("h2").rx_count == 20
+    assert second.host("h2").rx_count == 20
+    assert second.host("h1").tx_count == 20
 
 
 def test_fig12_rtt_series_bit_identical_under_batched_mode():
@@ -386,6 +477,40 @@ def test_high_rate_replay_accounts_every_packet():
     assert snap["lost"] == h1["nic_drops"]
 
 
+@contextmanager
+def _deadline(seconds, what):
+    """Fail with TimeoutError instead of hanging the suite."""
+    def stalled(_signum, _frame):
+        raise TimeoutError(what)
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("serialize_on_wire", [False, True])
+def test_same_instant_source_heads_do_not_livelock(serialize_on_wire):
+    """Two sources whose emissions fall due at bit-identical times: the
+    pump the scheduler popped owns that instant.  Parking it behind the
+    other source's same-instant pump, which then did the same, used to
+    spin forever."""
+    def attach(topo, network, bmv2, entries):
+        for host in ("h1", "h2"):
+            packet = make_udp(topo.hosts[host].ipv4, topo.hosts["h3"].ipv4,
+                              1, 2, payload_len=100)
+            network.attach_source(
+                host, iter([(i * 1e-5, packet) for i in range(50)]))
+
+    with _deadline(10, "batched replay livelocked"):
+        snap = _run_both(attach, hosts=3,
+                         serialize_on_wire=serialize_on_wire)
+    assert snap["hosts"]["h3"]["rx"] == 100
+
+
 def test_same_instant_parked_continuations_do_not_livelock():
     """Two cached h1->h3 replays that cross different spines reach leaf2
     at bit-identical times and both park on its egress leg.  The one
@@ -417,17 +542,9 @@ def test_same_instant_parked_continuations_do_not_livelock():
                     for t, p in network.hosts["h3"].received]
         return received, spines
 
-    def stalled(_signum, _frame):
-        raise TimeoutError("batched replay livelocked")
-
-    previous = signal.signal(signal.SIGALRM, stalled)
-    signal.alarm(10)
-    try:
+    with _deadline(10, "batched replay livelocked"):
         event, _ = run(batched=False)
         batched, spines = run(batched=True)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert all(spines), "the two flows must cross different spines"
     assert len(event) == 4
     assert batched == event
